@@ -98,6 +98,9 @@ func Convert(r io.Reader) (*Document, error) {
 		seen[b.Name] = true
 		doc.Benchmarks = append(doc.Benchmarks, b)
 	}
+	// partial holds, per test, an output chunk that did not end its line:
+	// test2json may cut one result line into "<name>-N\t" and the rest.
+	partial := make(map[string]string)
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for scanner.Scan() {
@@ -107,7 +110,13 @@ func Convert(r io.Reader) (*Document, error) {
 			if err := json.Unmarshal([]byte(line), &ev); err != nil || ev.Action != "output" {
 				continue
 			}
-			line = strings.TrimSuffix(ev.Output, "\n")
+			out := partial[ev.Test] + ev.Output
+			if !strings.HasSuffix(out, "\n") {
+				partial[ev.Test] = out
+				continue
+			}
+			delete(partial, ev.Test)
+			line = strings.TrimSuffix(out, "\n")
 			if b, ok := parseBenchLine(line); ok {
 				add(b)
 				continue

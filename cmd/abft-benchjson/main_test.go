@@ -97,6 +97,32 @@ func TestConvertTest2JSONSplitNameResult(t *testing.T) {
 	}
 }
 
+// TestConvertTest2JSONPartialLine covers a result line test2json cuts in
+// two output events: the suffixed name with its padding, then the metrics.
+// The pieces must be joined, so the row keeps the name the runner printed.
+func TestConvertTest2JSONPartialLine(t *testing.T) {
+	stream := `{"Action":"run","Package":"byzopt","Test":"BenchmarkBehaviorApply/random/d=50"}
+{"Action":"output","Package":"byzopt","Test":"BenchmarkBehaviorApply/random/d=50","Output":"BenchmarkBehaviorApply/random/d=50\n"}
+{"Action":"output","Package":"byzopt","Test":"BenchmarkBehaviorApply/random/d=50","Output":"BenchmarkBehaviorApply/random/d=50-2        \t"}
+{"Action":"output","Package":"byzopt","Test":"BenchmarkBehaviorApply/random/d=50","Output":"       1\t      1598 ns/op\t     432 B/op\t       2 allocs/op\n"}
+{"Action":"output","Package":"byzopt","Output":"PASS\n"}
+`
+	doc, err := Convert(strings.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Benchmarks) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1: %+v", len(doc.Benchmarks), doc.Benchmarks)
+	}
+	b := doc.Benchmarks[0]
+	if b.Name != "BenchmarkBehaviorApply/random/d=50-2" || b.NsPerOp != 1598 {
+		t.Errorf("partial line mis-parsed: %+v", b)
+	}
+	if b.BytesPerOp == nil || *b.BytesPerOp != 432 || b.AllocsPerOp == nil || *b.AllocsPerOp != 2 {
+		t.Errorf("partial line lost -benchmem metrics: %+v", b)
+	}
+}
+
 // TestConvertDeduplicatesRepeatedNames covers the single-core-runner shape
 // that produced duplicate trajectory rows: a workers axis of
 // {1, GOMAXPROCS} collapses to {1, 1} when GOMAXPROCS is 1, and the test

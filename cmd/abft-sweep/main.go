@@ -326,10 +326,14 @@ func logStderr(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "abft-sweep: "+format+"\n", args...)
 }
 
+// listen binds the coordinator's address. Tests replace it to control the
+// order in which workers are accepted.
+var listen = net.Listen
+
 // runCoordinator binds the listen address, publishes it to addrFile when
 // asked (so scripts can use ":0" and discover the port), and serves the grid.
 func runCoordinator(ctx context.Context, addr, addrFile string, cs sweep.CoordinatorSpec) ([]sweep.Result, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-coordinator: %w", err)
 	}

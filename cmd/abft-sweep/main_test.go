@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -269,10 +270,45 @@ func TestRunCancelledSweepExportsPartialResults(t *testing.T) {
 	}
 }
 
+// gatherListener holds back the first want connections until all of them
+// have arrived, then hands them out in arrival order and passes later ones
+// straight through. Only the coordinator's accept loop calls Accept.
+type gatherListener struct {
+	net.Listener
+	want int
+	held []net.Conn
+}
+
+func (g *gatherListener) Accept() (net.Conn, error) {
+	for len(g.held) < g.want {
+		c, err := g.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		g.held = append(g.held, c)
+	}
+	if len(g.held) == 0 {
+		return g.Listener.Accept()
+	}
+	c := g.held[0]
+	g.held, g.want = g.held[1:], 0
+	return c, nil
+}
+
 // TestCoordinatorWorkerFleetMatchesLocalRun is the fleet acceptance
 // guarantee at the CLI level: a coordinator plus two -worker processes must
 // export byte-identical JSON to a plain local run of the same flags.
 func TestCoordinatorWorkerFleetMatchesLocalRun(t *testing.T) {
+	// The grid takes a few milliseconds, so without the gather one worker
+	// could finish it and close the coordinator before the other dials.
+	t.Cleanup(func() { listen = net.Listen })
+	listen = func(network, addr string) (net.Listener, error) {
+		ln, err := net.Listen(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return &gatherListener{Listener: ln, want: 2}, nil
+	}
 	dir := t.TempDir()
 	gridFlags := []string{
 		"-filters", "cge,cwtm", "-behaviors", "gradient-reverse,random",

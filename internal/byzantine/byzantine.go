@@ -7,15 +7,22 @@
 //
 // Behaviors are deterministic given their seed, matching the paper's
 // deterministic-algorithm framework and keeping every experiment
-// reproducible.
+// reproducible. The random Gaussian fault draws from a keyed stream: a PCG
+// generator whose state is a pure function of (seed, round, agent), hashed
+// with simtime.Mix, the counter-mode keying the chaos layer and the sketch
+// filters share. Each draw is therefore independent of evaluation order,
+// worker count and substrate. Never seed a math/rand source per draw: its
+// 607-word state costs microseconds to seed, and it reduces the seed mod
+// 2³¹−1, so distinct keys could share a stream.
 package byzantine
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
+	"byzopt/internal/simtime"
 	"byzopt/internal/vecmath"
 )
 
@@ -85,8 +92,9 @@ func (s ScaledReverse) Apply(round, agentID int, trueGrad []float64) ([]float64,
 
 // RandomGaussian sends an i.i.d. Gaussian vector with mean zero and isotropic
 // standard deviation Sigma, the "random" fault of Section 5 (σ = 200 there).
-// Draws are deterministic given (seed, round, agentID) so that executions
-// replay exactly regardless of evaluation order.
+// Each Apply draws from a PCG stream keyed on the full (seed, round,
+// agentID) through simtime.Mix, so executions replay exactly regardless of
+// evaluation order and distinct keys get distinct streams.
 type RandomGaussian struct {
 	sigma float64
 	seed  int64
@@ -107,13 +115,7 @@ func (g *RandomGaussian) Name() string { return fmt.Sprintf("random-%g", g.sigma
 
 // Apply implements Behavior.
 func (g *RandomGaussian) Apply(round, agentID int, trueGrad []float64) ([]float64, error) {
-	// Derive a per-(round, agent) stream so replays are order-independent.
-	const (
-		mixRound int64 = 0x1E3779B97F4A7C15
-		mixAgent int64 = 0x3F58476D1CE4E5B9
-	)
-	h := g.seed ^ (int64(round)+1)*mixRound ^ (int64(agentID)+1)*mixAgent
-	r := rand.New(rand.NewSource(h))
+	r := rand.New(rand.NewPCG(uint64(g.seed), simtime.Mix(g.seed, round, agentID)))
 	out := make([]float64, len(trueGrad))
 	for i := range out {
 		out[i] = r.NormFloat64() * g.sigma

@@ -3,9 +3,10 @@ package mlsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/rand/v2"
 
 	"byzopt/internal/costfunc"
+	"byzopt/internal/simtime"
 	"byzopt/internal/vecmath"
 )
 
@@ -245,8 +246,10 @@ func (s *ShardCost) Grad(x []float64) ([]float64, error) {
 // --- D-SGD agent ---
 
 // SGDAgent is a dgd.Agent drawing a fresh minibatch from its shard each
-// round and reporting the stochastic gradient, as in Appendix K. Batches
-// are deterministic given (Seed, round) so executions replay exactly.
+// round and reporting the stochastic gradient, as in Appendix K. Each
+// round's batch indices come from a PCG stream keyed on (Seed, round)
+// through simtime.Mix, so executions replay exactly at any worker count.
+// Callers give each agent its own Seed, which keys the agent.
 type SGDAgent struct {
 	Model Model
 	Data  *Dataset
@@ -262,15 +265,14 @@ func (a *SGDAgent) Gradient(round int, x []float64) ([]float64, error) {
 	if a.Data == nil || a.Data.Len() == 0 {
 		return nil, fmt.Errorf("agent has no data: %w", ErrArgs)
 	}
-	const roundMix int64 = 0x5851F42D4C957F2D
-	r := rand.New(rand.NewSource(a.Seed ^ (int64(round)+1)*roundMix))
+	r := rand.New(rand.NewPCG(uint64(a.Seed), simtime.Mix(a.Seed, round, 0)))
 	b := a.Batch
 	if b > a.Data.Len() {
 		b = a.Data.Len()
 	}
 	idx := make([]int, b)
 	for i := range idx {
-		idx[i] = r.Intn(a.Data.Len())
+		idx[i] = r.IntN(a.Data.Len())
 	}
 	return a.Model.Grad(x, a.Data, idx)
 }

@@ -39,11 +39,24 @@ func exportBytes(t *testing.T, results []Result) []byte {
 // its address plus a wait function for the results.
 func startCoordinator(t *testing.T, ctx context.Context, cs CoordinatorSpec) (string, func() ([]Result, error)) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	return startFleetCoordinator(t, ctx, cs, 0)
+}
+
+// startFleetCoordinator is startCoordinator for a test that starts workers
+// at once: the coordinator serves none of them until all have dialed. The
+// test grids take milliseconds, so otherwise one worker could finish the
+// grid and close the listener before the others connect.
+func startFleetCoordinator(t *testing.T, ctx context.Context, cs CoordinatorSpec, workers int) (string, func() ([]Result, error)) {
+	t.Helper()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := ln.Addr().String()
+	addr := inner.Addr().String()
+	var ln net.Listener = inner
+	if workers > 1 {
+		ln = &gatherListener{Listener: inner, want: workers}
+	}
 	type outcome struct {
 		results []Result
 		err     error
@@ -64,6 +77,31 @@ func startCoordinator(t *testing.T, ctx context.Context, cs CoordinatorSpec) (st
 	}
 }
 
+// gatherListener holds back the first want connections until all of them
+// have arrived, then hands them out in arrival order and passes later ones
+// straight through. Only the coordinator's accept loop calls Accept.
+type gatherListener struct {
+	net.Listener
+	want int
+	held []net.Conn
+}
+
+func (g *gatherListener) Accept() (net.Conn, error) {
+	for len(g.held) < g.want {
+		c, err := g.Listener.Accept()
+		if err != nil {
+			return nil, err
+		}
+		g.held = append(g.held, c)
+	}
+	if len(g.held) == 0 {
+		return g.Listener.Accept()
+	}
+	c := g.held[0]
+	g.held, g.want = g.held[1:], 0
+	return c, nil
+}
+
 // TestCoordinatorParityWithSingleProcessRun is the fabric's core
 // guarantee: a grid served to two TCP workers exports byte-identically to
 // the single-process Run of the same Spec.
@@ -75,7 +113,7 @@ func TestCoordinatorParityWithSingleProcessRun(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	addr, wait := startCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2})
+	addr, wait := startFleetCoordinator(t, ctx, CoordinatorSpec{Spec: spec, LeaseCells: 2}, 2)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)

@@ -21,6 +21,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"byzopt/internal/vecmath"
@@ -372,9 +373,8 @@ func (m MultiKrum) into(dst []float64, grads [][]float64, n, f int, s *Scratch) 
 // the pairwise distance matrix in s's scratch with up to workers goroutines
 // (see Krum.Workers for the 0/1/negative semantics). The returned slice
 // aliases s.scores and stays valid until the next call that touches it.
-// Callers must have validated grads already (Bulyan's iterated selection
-// re-invokes this on subsets of an already-validated set, so only the
-// tolerance condition needs rechecking per call).
+// Callers must have validated grads already; only the tolerance condition
+// is checked here.
 func krumScores(grads [][]float64, f, workers int, s *Scratch) ([]float64, error) {
 	n, d := len(grads), len(grads[0])
 	if n < 2*f+3 {
@@ -417,9 +417,16 @@ func scoreFromDists(d2 [][]float64, n, f int, s *Scratch) []float64 {
 // Bulyan runs iterated Krum selection to pick theta = n-2f gradients, then
 // applies a beta = theta-2f trimmed-mean around the coordinate-wise median
 // (El Mhamdi et al., 2018).
+//
+// A pair's distance does not depend on which candidates are still in play,
+// so one call computes the n×n distance matrix once (O(n²·d)) and sorts
+// every point's neighbors once (O(n²·log n)). Each selection step at m live
+// candidates then sums the first m-f-2 entries of every live neighbor list
+// and unlinks the winner from the others, O(m²); the whole selection is
+// O(n³) on top of the single matrix, and no step touches a gradient.
 type Bulyan struct {
-	// Workers has the same semantics as Krum.Workers and applies to every
-	// distance matrix of the iterated selection.
+	// Workers has the same semantics as Krum.Workers and applies to the
+	// call's one distance matrix.
 	Workers int
 }
 
@@ -443,47 +450,45 @@ func (bl Bulyan) AggregateInto(dst []float64, grads [][]float64, f int, s *Scrat
 }
 
 func (bl Bulyan) into(dst []float64, grads [][]float64, n, f int, s *Scratch) error {
-	return bulyanInto(dst, grads, n, f, s, func(remaining [][]float64) ([]float64, error) {
-		return krumScores(remaining, f, bl.Workers, s)
-	})
+	return bulyanInto(dst, grads, n, f, s,
+		func() { s.sortNeighbors(grads, bl.Workers) },
+		func(live []int) (int, error) { return s.pickNeighbor(live, n, f), nil })
 }
 
 // bulyanInto is the Bulyan skeleton — iterated Krum selection of theta =
 // n-2f gradients followed by the beta-trimmed mean around the
-// coordinate-wise median — parameterized over the scoring function so the
-// exact filter and its sketched/sampled variants share one selection and
-// trimming sequence. scores is called on the shrinking candidate table and
-// must return per-candidate Krum scores (lowest = best).
-func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores func([][]float64) ([]float64, error)) error {
+// coordinate-wise median — shared by the exact filter and its
+// sketched/sampled variants, which supply only the per-call setup (prepare,
+// run once after the tolerance check; may be nil) and the selection step.
+// live lists the candidates still in play as indices into grads, in input
+// order; pick returns the position in live of the candidate with the
+// lowest Krum score among them, first occurrence winning ties.
+func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, prepare func(), pick func(live []int) (int, error)) error {
 	if n < 4*f+3 {
 		return fmt.Errorf("bulyan needs n >= 4f+3, got n=%d f=%d: %w", n, f, ErrTooManyFaults)
 	}
+	if prepare != nil {
+		prepare()
+	}
 	theta := n - 2*f
-	s.heads = growHeads(s.heads, n)
-	remaining := s.heads[:n]
-	copy(remaining, grads)
+	live := s.liveSet(n)
 	s.heads2 = growHeads(s.heads2, theta)
 	selected := s.heads2[:0]
 	for len(selected) < theta {
-		if len(remaining) < 2*f+3 {
+		if len(live) < 2*f+3 {
 			// As gradients are removed the Krum condition tightens; fall
 			// back to taking the rest in order, which preserves determinism.
-			// (The tolerance condition is checked here rather than through
-			// krumScores' error — it is the only error krumScores can return
-			// on this already-validated input, and checking first keeps the
-			// steady state from constructing error values.)
-			selected = append(selected, remaining[:theta-len(selected)]...)
+			for _, i := range live[:theta-len(selected)] {
+				selected = append(selected, grads[i])
+			}
 			break
 		}
-		sc, err := scores(remaining)
+		best, err := pick(live)
 		if err != nil {
 			return err
 		}
-		best := argMinScore(sc)
-		selected = append(selected, remaining[best])
-		// In-place removal: remaining owns its backing table (a scratch
-		// copy), so shifting left cannot clobber the caller's slice.
-		remaining = append(remaining[:best], remaining[best+1:]...)
+		selected = append(selected, grads[live[best]])
+		live = append(live[:best], live[best+1:]...)
 	}
 	// Trimmed mean of the beta values closest to the median, per coordinate.
 	// The column is sorted once (in scratch); the beta-window walk below then
@@ -507,6 +512,70 @@ func bulyanInto(dst []float64, grads [][]float64, n, f int, s *Scratch, scores f
 		dst[k] = medianWindowSum(col, med, beta) / float64(beta)
 	}
 	return nil
+}
+
+// sortNeighbors computes the distance matrix of grads into s.distRows (see
+// Krum.Workers for workers) and lays out each point's distances to the
+// other n-1 points in ascending order: row i is s.nbrs[i*(n-1) :
+// (i+1)*(n-1)]. Rows hold the distances' IEEE-754 bit patterns: a squared
+// distance is never negative, -0 or NaN (inputs are finite and the kernel
+// only adds squares to +0), and on such values the bit patterns order
+// exactly as the values do, so the cheaper integer sort yields the
+// ascending order.
+func (s *Scratch) sortNeighbors(grads [][]float64, workers int) {
+	n, d := len(grads), len(grads[0])
+	d2 := s.distMatrix(n)
+	pairwiseDistSqInto(d2, grads, resolvePairwiseWorkers(workers, n, d))
+	w := n - 1
+	if cap(s.nbrs) < n*w {
+		s.nbrs = make([]uint64, n*w)
+	}
+	s.nbrs = s.nbrs[:n*w]
+	for i, di := range d2 {
+		row := s.nbrs[i*w : (i+1)*w]
+		t := 0
+		for j, v := range di {
+			if j != i {
+				row[t] = math.Float64bits(v)
+				t++
+			}
+		}
+		slices.Sort(row)
+	}
+}
+
+// pickNeighbor is exact Bulyan's selection step over the rows sortNeighbors
+// laid out for n points. Every live row holds, ascending, the distances to
+// exactly the other m-1 live candidates, so a candidate's Krum score among
+// the live set — the ascending-order sum of its m-f-2 smallest live
+// distances — is the sum of its row's first m-f-2 entries: the same values
+// added in the same order as scoreFromDists over the live subset's own
+// matrix. The winner win then leaves every other live row i as one copy of
+// the value d2[i][win]; which copy goes does not matter, equal values being
+// interchangeable in every later sum. Callers must have checked m >= 2f+3.
+func (s *Scratch) pickNeighbor(live []int, n, f int) int {
+	w, m := n-1, len(live)
+	k := m - f - 2
+	s.scores = growFloats(s.scores, m)
+	scores := s.scores
+	for p, i := range live {
+		var sum float64
+		for _, v := range s.nbrs[i*w : i*w+k] {
+			sum += math.Float64frombits(v)
+		}
+		scores[p] = sum
+	}
+	best := argMinScore(scores)
+	win := live[best]
+	for _, i := range live {
+		if i == win {
+			continue
+		}
+		row := s.nbrs[i*w : i*w+m-1]
+		t, _ := slices.BinarySearch(row, math.Float64bits(s.distRows[i][win]))
+		copy(row[t:], row[t+1:])
+	}
+	return best
 }
 
 // medianWindowSum sums the beta values of the ascending-sorted col closest

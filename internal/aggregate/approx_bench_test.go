@@ -5,8 +5,9 @@ package aggregate
 // path, at d = 1000 and n stepping through learning scale. Workers is
 // forced to 1 so every row is the sequential kernel (the artifact's
 // allocs/op column is then the zero-alloc gate, and speedups are
-// kernel-vs-kernel, not parallelism). Exact Bulyan recomputes the pairwise
-// pass per selection, so its exact row is limited to n = 100.
+// kernel-vs-kernel, not parallelism). Exact Bulyan builds one distance
+// matrix per call, but its selection over sorted neighbor rows is O(n³),
+// so its exact row stops at n = 500.
 
 import (
 	"fmt"
@@ -39,7 +40,7 @@ func BenchmarkApproxFilters(b *testing.B) {
 			{"multikrum/exact", MultiKrum{M: 3, Workers: 1}},
 			{"multikrum/sketch-k64", &MultiKrumSketch{M: 3, SketchParams: SketchParams{Dim: k, Seed: 1, Workers: 1}}},
 		}
-		if n == 100 {
+		if n <= 500 {
 			variants = append(variants,
 				struct {
 					name   string

@@ -56,3 +56,36 @@ func BenchmarkFilterInto(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBulyan measures exact Bulyan's AggregateInto with a warm Scratch
+// at the wide-filter shape (n = 100, d = 50) for f in {10, 20}: theta =
+// n-2f selection steps over one distance matrix. Sequential workers, so the
+// allocs/op column is the zero-alloc gate.
+func BenchmarkBulyan(b *testing.B) {
+	const n, d = 100, 50
+	r := rand.New(rand.NewSource(3))
+	grads := make([][]float64, n)
+	for i := range grads {
+		grads[i] = make([]float64, d)
+		for j := range grads[i] {
+			grads[i][j] = r.NormFloat64()
+		}
+	}
+	for _, f := range []int{10, 20} {
+		b.Run(fmt.Sprintf("n=%d/d=%d/f=%d", n, d, f), func(b *testing.B) {
+			filter := Bulyan{Workers: 1}
+			scratch := &Scratch{}
+			dst := make([]float64, d)
+			if err := filter.AggregateInto(dst, grads, f, scratch); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := filter.AggregateInto(dst, grads, f, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -179,6 +180,17 @@ func refMultiKrum(m MultiKrum, grads [][]float64, f int) ([]float64, error) {
 }
 
 func refBulyan(grads [][]float64, f int) ([]float64, error) {
+	return refBulyanWith(grads, f, func(remaining [][]float64) ([]float64, error) {
+		scores, _, err := refKrumScores(remaining, f)
+		return scores, err
+	})
+}
+
+// refBulyanWith is refBulyan over any per-step scorer: score the current
+// candidate table from scratch at every selection step, falling back to
+// taking the rest in order once the scorer reports the Krum condition
+// violated.
+func refBulyanWith(grads [][]float64, f int, krumScores func([][]float64) ([]float64, error)) ([]float64, error) {
 	n, d, err := validate(grads, f)
 	if err != nil {
 		return nil, err
@@ -191,7 +203,7 @@ func refBulyan(grads [][]float64, f int) ([]float64, error) {
 	copy(remaining, grads)
 	selected := make([][]float64, 0, theta)
 	for len(selected) < theta {
-		scores, _, err := refKrumScores(remaining, f)
+		scores, err := krumScores(remaining)
 		if err != nil {
 			selected = append(selected, remaining[:theta-len(selected)]...)
 			break
@@ -528,6 +540,45 @@ func TestIntoMatchesAggregateAndReference(t *testing.T) {
 	}
 }
 
+// TestBulyanWideParity extends the reference parity gate to wide shapes,
+// where Bulyan's selection chain is long (up to 80 removals at n = 100)
+// and large f reaches the in-order fallback once fewer than 2f+3
+// candidates remain: every fuzz mode, both worker settings, one Scratch
+// shared across all shapes.
+func TestBulyanWideParity(t *testing.T) {
+	r := rand.New(rand.NewSource(20261018))
+	scratch := &Scratch{}
+	for _, n := range []int{43, 100} {
+		for _, d := range []int{1, 50} {
+			for _, f := range []int{10, 20} {
+				for mode := 0; mode < 3; mode++ {
+					grads := fuzzGradients(r, n, d, mode)
+					want, refErr := refBulyan(grads, f)
+					for _, workers := range []int{1, 2} {
+						fl := Bulyan{Workers: workers}
+						dst := make([]float64, d)
+						err := fl.AggregateInto(dst, grads, f, scratch)
+						if (refErr == nil) != (err == nil) {
+							t.Fatalf("n=%d d=%d f=%d mode=%d workers=%d: error mismatch ref=%v got=%v",
+								n, d, f, mode, workers, refErr, err)
+						}
+						if refErr != nil {
+							if !errors.Is(err, ErrTooManyFaults) {
+								t.Fatalf("n=%d f=%d: unexpected sentinel %v", n, f, err)
+							}
+							continue
+						}
+						if !bitwiseEqual(want, dst) {
+							t.Fatalf("n=%d d=%d f=%d mode=%d workers=%d: diverges from reference\nref  %v\ngot  %v",
+								n, d, f, mode, workers, want, dst)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestIntoNilScratchAndDstChecks covers the convenience and error paths of
 // AggregateInto: nil Scratch behaves like a fresh one, and a wrong-sized
 // destination is rejected with ErrInput before any work happens.
@@ -646,4 +697,56 @@ func TestAggregateIntoAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs/op with warm scratch, want 0", fl.Name(), allocs)
 		}
 	}
+}
+
+// TestBulyanWideAllocs extends the zero-allocation gate to the Bulyan
+// family at the wide shape (n = 100, d = 50, f = 10), approximation engaged
+// for the sketched and sampled variants: a warm Scratch allocates nothing,
+// and neither does the first call at a smaller n (50) on a Scratch that
+// served n = 100, so the sorted neighbor rows, live list and distance
+// matrix reshape within their capacity.
+func TestBulyanWideAllocs(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	const n, d, f = 100, 50, 10
+	grads := fuzzGradients(r, n, d, 0)
+	for _, fl := range []IntoFilter{
+		Bulyan{Workers: 1},
+		&BulyanSketch{SketchParams: SketchParams{Dim: 16, Seed: 3, Workers: 1}},
+		&BulyanSampled{SampleParams: SampleParams{Pairs: 16, Seed: 3, Workers: 1}},
+	} {
+		scratch := &Scratch{}
+		dst := make([]float64, d)
+		if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
+			t.Fatalf("%s warmup: %v", fl.Name(), err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s n=%d: %v allocs/op with warm scratch, want 0", fl.Name(), n, allocs)
+		}
+		shrunk := mallocsOnce(func() {
+			if err := fl.AggregateInto(dst, grads[:n/2], f, scratch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if shrunk != 0 {
+			t.Errorf("%s: first n=%d call on a scratch that served n=%d made %d allocations, want 0",
+				fl.Name(), n/2, n, shrunk)
+		}
+	}
+}
+
+// mallocsOnce counts the heap allocations of a single, unwarmed call to fn
+// (testing.AllocsPerRun always warms up first), measured the same way:
+// with GOMAXPROCS at 1 and the runtime's cumulative malloc counter.
+func mallocsOnce(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

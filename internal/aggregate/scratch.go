@@ -5,7 +5,7 @@ import "slices"
 // Scratch owns every temporary a filter needs for one aggregation call:
 // the n×n pairwise-distance matrix of the Krum family, index/score/norm
 // buffers, per-coordinate column buffers, Weiszfeld iterates and weights, and
-// the slice-header tables of Bulyan's iterated selection. A Scratch handed to
+// Bulyan's sorted neighbor lists and selection tables. A Scratch handed to
 // AggregateInto (see IntoFilter) is (re)sized lazily and reused across calls,
 // so a steady-state round loop performs zero heap allocations once the
 // buffers are warm. Buffers grow monotonically: a Scratch that has served an
@@ -23,7 +23,8 @@ import "slices"
 type Scratch struct {
 	// Pairwise distance matrix (Krum, MultiKrum, Bulyan): distRows[i] is a
 	// stride-n window into distBuf. distN remembers the stride so reshaping
-	// only happens when n changes.
+	// only happens when n changes. Bulyan fills it once per call, however
+	// many selection steps follow.
 	distBuf  []float64
 	distRows [][]float64
 	distN    int
@@ -37,15 +38,22 @@ type Scratch struct {
 	vecA    []float64 // d-sized temporary (Weiszfeld iterate, CenteredClip diff)
 	vecB    []float64 // d-sized temporary (Weiszfeld update, CenteredClip step)
 
-	heads  [][]float64 // Bulyan's shrinking candidate table
+	heads  [][]float64 // gathered rows (BulyanSampled candidates, REDGRAF survivors)
 	heads2 [][]float64 // Bulyan's selected table
+
+	// Bulyan's selection state: each point's distances to the others,
+	// sorted once per call (n rows of n-1 entries, each row shrinking by
+	// one entry per selection step; see sortNeighbors), and the live
+	// candidate indices in input order.
+	nbrs []uint64
+	live []int
 
 	meansBuf []float64   // GeoMedianOfMeans bucket-mean arena
 	means    [][]float64 // rows into meansBuf
 
 	// Sketch-filter state: the SRHT plan (per-column sign words and the k
-	// sampled Hadamard coordinates), cached by content key so Bulyan's
-	// iterated selection re-derives it only once per (seed, round), the
+	// sampled Hadamard coordinates), cached by content key so calls sharing
+	// a Scratch within one (seed, round) derive it only once, the
 	// P-length padded transform buffer, plus the n×k sketched-row arenas in
 	// both storage modes and the sampled-pairs index/rank buffers.
 	srhtWords []uint64
@@ -118,13 +126,24 @@ func (s *Scratch) distMatrix(n int) [][]float64 {
 	return s.distRows
 }
 
+// liveSet returns the scratch index table filled with 0..n-1: the initial
+// live candidate list of Bulyan's selection, and the identity candidate
+// list of the sketched Krum scorer.
+func (s *Scratch) liveSet(n int) []int {
+	s.live = growInts(s.live, n)
+	for i := range s.live {
+		s.live[i] = i
+	}
+	return s.live
+}
+
 // srhtPlan returns the SRHT plan buffers — the per-column sign words and
 // the k sampled Hadamard-coordinate indices — reshaping only when the shape
 // changes. key identifies the contents the caller is about to fill (a hash
 // of seed, round, and shape); the third return reports whether the buffers
-// already hold that fill, letting Bulyan's iterated selection skip
-// re-deriving the identical plan every iteration. Callers that fill must do
-// so before the next srhtPlan call.
+// already hold that fill, letting repeated calls within a round skip
+// re-deriving the identical plan. Callers that fill must do so before the
+// next srhtPlan call.
 func (s *Scratch) srhtPlan(k, d int, key uint64) ([]uint64, []int, bool) {
 	words := (d + 63) >> 6
 	if s.srhtK != k || s.srhtD != d || len(s.srhtIdx) != k {

@@ -134,6 +134,15 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	if k >= d {
 		return krumScores(grads, f, p.Workers, s)
 	}
+	return scoreFromDistsApprox(p.sketchDists(grads, k, s), s.liveSet(n), f, s), nil
+}
+
+// sketchDists projects grads to k dimensions and fills s's n×n distance
+// matrix with the pairwise distances of the sketches. Each sketch is a pure
+// function of its gradient and the round's plan, so any subset's matrix is
+// the matching submatrix of this one.
+func (p *SketchParams) sketchDists(grads [][]float64, k int, s *Scratch) [][]float64 {
+	n := len(grads)
 	rows := p.project(grads, k, s)
 	d2 := s.distMatrix(n)
 	if p.Float32 {
@@ -141,29 +150,31 @@ func (p *SketchParams) krumScores(grads [][]float64, f int, s *Scratch) ([]float
 	} else {
 		pairwiseDistSqInto(d2, rows, resolvePairwiseWorkers(p.Workers, n, k))
 	}
-	return scoreFromDistsApprox(d2, n, f, s), nil
+	return d2
 }
 
-// scoreFromDistsApprox is the sketch-space neighbor scorer: the sum of the
-// n-f-2 smallest distances per point, computed as the full row sum minus
-// the f+1 largest entries — O(n) per row against the exact scorer's
-// O(n log n) sort, which would otherwise dominate once distances are only
-// k-dimensional. The subtraction associates the sum differently than the
-// exact scorer's ascending-order add, so this scorer is reserved for the
-// approximate filters (whose scores answer to no golden); the identity
-// regime above delegates to the exact scorer before reaching it. Fully
-// deterministic: row sums run in index order, and the dropped maxima are
-// located by value with lowest-index tie-breaks.
-func scoreFromDistsApprox(d2 [][]float64, n, f int, s *Scratch) []float64 {
+// scoreFromDistsApprox is the sketch-space neighbor scorer over the
+// candidates live (indices into d2, in input order; scores[p] belongs to
+// live[p]): the sum of the m-f-2 smallest distances to the other live
+// candidates, computed as the full row sum minus the f+1 largest entries —
+// O(m) per row against the exact scorer's O(m log m) sort, which would
+// otherwise dominate once distances are only k-dimensional. The subtraction
+// associates the sum differently than the exact scorer's ascending-order
+// add, so this scorer is reserved for the approximate filters (whose scores
+// answer to no golden); the identity regime above delegates to the exact
+// scorer before reaching it. Fully deterministic: row sums run in index
+// order, and the dropped maxima are located by value with lowest-index
+// tie-breaks.
+func scoreFromDistsApprox(d2 [][]float64, live []int, f int, s *Scratch) []float64 {
 	drop := f + 1 // the self-distance (0) plus the f+1 largest are excluded
-	s.scores = growFloats(s.scores, n)
+	s.scores = growFloats(s.scores, len(live))
 	s.row = growFloats(s.row, drop)
 	scores := s.scores
 	top := s.row
-	for i := 0; i < n; i++ {
+	for p, i := range live {
 		di := d2[i]
 		var total float64
-		for j := 0; j < n; j++ {
+		for _, j := range live {
 			if j != i {
 				total += di[j]
 			}
@@ -171,7 +182,7 @@ func scoreFromDistsApprox(d2 [][]float64, n, f int, s *Scratch) []float64 {
 		// Track the drop largest in a tiny insertion buffer, descending;
 		// subtract them largest-first.
 		top = top[:0]
-		for j := 0; j < n; j++ {
+		for _, j := range live {
 			if j == i {
 				continue
 			}
@@ -196,7 +207,7 @@ func scoreFromDistsApprox(d2 [][]float64, n, f int, s *Scratch) []float64 {
 		for _, v := range top {
 			total -= v
 		}
-		scores[i] = total
+		scores[p] = total
 	}
 	return scores
 }
@@ -345,9 +356,8 @@ func nextPow2(d int) int {
 }
 
 // projectionKey condenses (seed, round, k, d) into the content key of a
-// filled SRHT plan, so scratch reuse within a call (Bulyan's iterated
-// selection re-projects the shrinking candidate set under the same plan)
-// skips identical refills.
+// filled SRHT plan, so calls that share a Scratch within one round skip
+// identical refills.
 func projectionKey(seed int64, round, k, d int) uint64 {
 	return simtime.Mix(int64(simtime.Mix(seed, round, sketchKeyDomain)), k, d)
 }
@@ -441,8 +451,9 @@ func (m *MultiKrumSketch) AggregateInto(dst []float64, grads [][]float64, f int,
 // BulyanSketch is Bulyan with every Krum scoring pass of the iterated
 // selection running on sketched gradients; the final trimmed mean uses the
 // original gradients of the selected set, so the sketch decides membership
-// only. One projection per call serves every iteration (the matrix is keyed
-// on the round, not the iteration).
+// only. One projection and one sketch-space distance matrix per call serve
+// every selection step, each of which scores the live candidates with
+// scoreFromDistsApprox in O(m²). With k >= d it is exactly Bulyan.
 type BulyanSketch struct{ SketchParams }
 
 var _ IntoFilter = (*BulyanSketch)(nil)
@@ -462,9 +473,15 @@ func (bl *BulyanSketch) AggregateInto(dst []float64, grads [][]float64, f int, s
 		return err
 	}
 	sc := orFresh(s)
-	return bulyanInto(dst, grads, n, f, sc, func(remaining [][]float64) ([]float64, error) {
-		return bl.SketchParams.krumScores(remaining, f, sc)
-	})
+	k := bl.dim()
+	if k >= len(dst) {
+		return Bulyan{Workers: bl.Workers}.into(dst, grads, n, f, sc)
+	}
+	return bulyanInto(dst, grads, n, f, sc,
+		func() { bl.sketchDists(grads, k, sc) },
+		func(live []int) (int, error) {
+			return argMinScore(scoreFromDistsApprox(sc.distRows, live, f, sc)), nil
+		})
 }
 
 // --- shared sampled-pairs configuration ---
@@ -614,7 +631,9 @@ func (m *MultiKrumSampled) AggregateInto(dst []float64, grads [][]float64, f int
 }
 
 // BulyanSampled is Bulyan with sampled Krum scoring in the iterated
-// selection.
+// selection. Each step gathers the live candidates in input order and
+// scores them positionally, so the sample is redrawn over the shrinking set
+// exactly as a standalone KrumSampled call on it would draw.
 type BulyanSampled struct{ SampleParams }
 
 var _ IntoFilter = (*BulyanSampled)(nil)
@@ -634,8 +653,16 @@ func (bl *BulyanSampled) AggregateInto(dst []float64, grads [][]float64, f int, 
 		return err
 	}
 	sc := orFresh(s)
-	return bulyanInto(dst, grads, n, f, sc, func(remaining [][]float64) ([]float64, error) {
-		return bl.SampleParams.krumScores(remaining, f, sc)
+	return bulyanInto(dst, grads, n, f, sc, nil, func(live []int) (int, error) {
+		sc.heads = growHeads(sc.heads, len(live))
+		for p, i := range live {
+			sc.heads[p] = grads[i]
+		}
+		scores, err := bl.SampleParams.krumScores(sc.heads, f, sc)
+		if err != nil {
+			return 0, err
+		}
+		return argMinScore(scores), nil
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -140,6 +141,93 @@ func TestApproxWorkerParity(t *testing.T) {
 					if !bitwiseEqual(want[i], dst) {
 						t.Fatalf("%s float32=%v round=%d: workers=%d diverges from workers=1",
 							fl.Name(), float32Mode, round, workers)
+					}
+				}
+			}
+		}
+	}
+}
+
+// frozenSketchScores is the scorer BulyanSketch ran at every selection
+// step before it projected once per call: project the current candidate
+// table, build that table's own distance matrix, and score each candidate
+// positionally as its row sum minus the f+1 largest entries, subtracted
+// largest first (scoreFromDistsApprox's arithmetic). The approximation must
+// be engaged (Dim < d).
+func frozenSketchScores(p *SketchParams, rem [][]float64, f int) ([]float64, error) {
+	n := len(rem)
+	if n < 2*f+3 {
+		return nil, ErrTooManyFaults
+	}
+	s := &Scratch{}
+	rows := p.project(rem, p.dim(), s)
+	d2 := make([][]float64, n)
+	for i := range d2 {
+		d2[i] = make([]float64, n)
+	}
+	if p.Float32 {
+		pairwiseDistSq32Into(d2, s.sk32Rows[:n], 1)
+	} else {
+		pairwiseDistSqInto(d2, rows, 1)
+	}
+	scores := make([]float64, n)
+	for i := range rem {
+		var total float64
+		var others []float64
+		for j, v := range d2[i] {
+			if j != i {
+				total += v
+				others = append(others, v)
+			}
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(others)))
+		for _, v := range others[:f+1] {
+			total -= v
+		}
+		scores[i] = total
+	}
+	return scores, nil
+}
+
+// TestBulyanSketchMatchesPerStepProjection pins BulyanSketch's
+// once-per-call projection to the per-step original: the sketch of a
+// gradient depends only on the gradient and the round's plan, so scoring
+// the live candidates over one full sketch-space matrix must select exactly
+// what re-projecting the shrinking table every step selected — bitwise, in
+// both storage modes, at several rounds and worker counts, through one
+// shared Scratch.
+func TestBulyanSketchMatchesPerStepProjection(t *testing.T) {
+	r := rand.New(rand.NewSource(20261019))
+	const d, k = 64, 16
+	scratch := &Scratch{}
+	for _, float32Mode := range []bool{false, true} {
+		for _, n := range []int{11, 24, 43} {
+			for _, f := range []int{1, 2, 5, 10} {
+				if n < 4*f+3 {
+					continue
+				}
+				for mode := 0; mode < 3; mode++ {
+					grads := fuzzGradients(r, n, d, mode)
+					for _, round := range []int{0, 3} {
+						ref := &SketchParams{Dim: k, Seed: 11, Float32: float32Mode, round: round}
+						want, err := refBulyanWith(grads, f, func(rem [][]float64) ([]float64, error) {
+							return frozenSketchScores(ref, rem, f)
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, workers := range []int{1, 2} {
+							fl := &BulyanSketch{SketchParams: SketchParams{Dim: k, Seed: 11, Float32: float32Mode, Workers: workers}}
+							fl.SetRound(round)
+							dst := make([]float64, d)
+							if err := fl.AggregateInto(dst, grads, f, scratch); err != nil {
+								t.Fatal(err)
+							}
+							if !bitwiseEqual(want, dst) {
+								t.Fatalf("float32=%v n=%d f=%d mode=%d round=%d workers=%d: diverges from per-step projection\nref  %v\ngot  %v",
+									float32Mode, n, f, mode, round, workers, want, dst)
+							}
+						}
 					}
 				}
 			}
